@@ -74,7 +74,11 @@ double RunPacked(std::uint32_t clients, int files_per_client,
       auto w = plfs::SmallFileWriter::Open(*backend, "/pack", c, clock);
       Bytes payload(file_bytes);
       for (int f = 0; f < files_per_client; ++f) {
-        (*w)->put("f" + std::to_string(c) + "_" + std::to_string(f), payload);
+        (*w)->put(std::string("f")
+                      .append(std::to_string(c))
+                      .append("_")
+                      .append(std::to_string(f)),
+                  payload);
       }
       (*w)->close();
       std::lock_guard<std::mutex> lk(mu);

@@ -58,7 +58,10 @@ struct Setting {
   std::uint32_t window;
   std::uint32_t batch;
   std::string name() const {
-    return "w" + std::to_string(window) + "b" + std::to_string(batch);
+    return std::string("w")
+        .append(std::to_string(window))
+        .append("b")
+        .append(std::to_string(batch));
   }
   bool sync() const { return window == 1 && batch == 1; }
 };

@@ -43,7 +43,11 @@ RunResult RunMetarates(std::uint32_t servers, int clients, int per_client) {
       giga::GigaClient client(dir, sched, c);
       double my_half = 0.0;
       for (int i = 0; i < per_client; ++i) {
-        client.create("f" + std::to_string(c) + "_" + std::to_string(i));
+        // append, not "f" + ...: GCC 12 -Wrestrict false positive
+        client.create(std::string("f")
+                          .append(std::to_string(c))
+                          .append("_")
+                          .append(std::to_string(i)));
         if (i == per_client / 2) my_half = sched.now(c);
       }
       std::lock_guard<std::mutex> lk(mu);

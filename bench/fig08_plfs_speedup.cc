@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
              FormatBytes(static_cast<double>(app.spec.record_bytes)),
              FormatRate(direct.bandwidth()), FormatRate(plfs.bandwidth()),
              FormatDouble(direct.seconds / plfs.seconds, 1) + "x",
-             "~" + FormatDouble(app.paper_speedup, 0) + "x"});
+             std::string("~").append(FormatDouble(app.paper_speedup, 0)).append("x")});
       json.str("system", cfg.name)
           .str("app", app.name)
           .num("direct_mbs", direct.bandwidth() / 1e6)

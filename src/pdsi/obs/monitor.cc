@@ -91,9 +91,13 @@ void SloSink::on_event(const AnalysisEvent& e, std::uint64_t) {
     a.key = st.spec.key;
     a.value = v;
     a.threshold = st.spec.threshold_s;
-    a.detail = "p" + FmtG(q * 100.0) + " over " +
-               std::to_string(st.window.size()) + " samples in " +
-               FmtG(st.spec.window_s) + "s window";
+    a.detail.append("p")
+        .append(FmtG(q * 100.0))
+        .append(" over ")
+        .append(std::to_string(st.window.size()))
+        .append(" samples in ")
+        .append(FmtG(st.spec.window_s))
+        .append("s window");
     alarms_.push_back(std::move(a));
   }
 }

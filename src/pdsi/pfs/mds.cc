@@ -21,7 +21,7 @@ std::string NormalizePath(std::string_view path) {
     }
     i = j;
   }
-  if (out.empty()) out = "/";
+  if (out.empty()) out.push_back('/');
   return out;
 }
 

@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace pdsi::sim {
 
 VirtualScheduler::VirtualScheduler(std::size_t num_actors)
-    : times_(num_actors, 0.0), active_(num_actors, true), active_count_(num_actors) {
+    : cvs_(num_actors),
+      times_(num_actors, 0.0),
+      active_(num_actors, true),
+      active_count_(num_actors) {
   if (num_actors == 0) throw std::invalid_argument("scheduler needs >= 1 actor");
 }
 
@@ -34,16 +38,39 @@ bool VirtualScheduler::is_min_locked(std::size_t actor) const {
   return true;
 }
 
+void VirtualScheduler::wake_min_locked() {
+  std::size_t min = times_.size();
+  for (std::size_t i = 0; i < times_.size(); ++i) {
+    // Strict < keeps the lowest id among equal times.
+    if (active_[i] && (min == times_.size() || times_[i] < times_[min])) min = i;
+  }
+  if (min != times_.size()) cvs_[min].notify_one();
+}
+
+template <typename Pred>
+void VirtualScheduler::wait_locked(std::unique_lock<std::mutex>& lk, std::size_t actor,
+                                   Pred ready) {
+  while (!ready()) {
+    cvs_[actor].wait(lk);
+    ++stats_.wakeups;
+    if (!ready()) ++stats_.futile_wakeups;
+  }
+}
+
 void VirtualScheduler::atomically(std::size_t actor,
                                   const std::function<double(double)>& fn) {
   std::unique_lock<std::mutex> lk(mu_);
-  assert(active_[actor] && "finished actor issued a simulated operation");
-  cv_.wait(lk, [&] { return is_min_locked(actor); });
+  if (!active_[actor]) {
+    throw std::logic_error("finished actor " + std::to_string(actor) +
+                           " issued a simulated operation");
+  }
+  wait_locked(lk, actor, [&] { return is_min_locked(actor); });
   const double now = times_[actor];
   const double next = fn(now);
   assert(next >= now && "virtual time must not go backwards");
   times_[actor] = next;
-  cv_.notify_all();
+  ++stats_.admissions;
+  wake_min_locked();
 }
 
 void VirtualScheduler::advance(std::size_t actor, double dt) {
@@ -56,13 +83,18 @@ void VirtualScheduler::finish(std::size_t actor) {
   if (active_[actor]) {
     active_[actor] = false;
     --active_count_;
-    cv_.notify_all();
+    wake_min_locked();
   }
 }
 
 bool VirtualScheduler::all_finished() const {
   std::lock_guard<std::mutex> lk(mu_);
   return active_count_ == 0;
+}
+
+SchedulerStats VirtualScheduler::stats() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return stats_;
 }
 
 VirtualBarrier::VirtualBarrier(VirtualScheduler& sched,
@@ -73,13 +105,18 @@ VirtualBarrier::VirtualBarrier(VirtualScheduler& sched,
 
 double VirtualBarrier::arrive(std::size_t actor) {
   std::unique_lock<std::mutex> lk(sched_.mu_);
-  assert(std::find(participants_.begin(), participants_.end(), actor) !=
-         participants_.end());
+  if (std::find(participants_.begin(), participants_.end(), actor) ==
+      participants_.end()) {
+    throw std::logic_error("actor " + std::to_string(actor) +
+                           " is not a participant of this barrier");
+  }
+  if (!sched_.active_[actor]) {
+    throw std::logic_error("finished actor " + std::to_string(actor) +
+                           " arrived at a barrier");
+  }
   // Park: remove from min-calculation so non-participants keep moving.
   sched_.active_[actor] = false;
   --sched_.active_count_;
-  // Parking may unblock another actor's min-check; wake waiters.
-  sched_.cv_.notify_all();
   max_time_ = std::max(max_time_, sched_.times_[actor]);
   ++arrived_;
   const std::uint64_t my_generation = generation_;
@@ -90,15 +127,18 @@ double VirtualBarrier::arrive(std::size_t actor) {
       sched_.times_[p] = max_time_;
       sched_.active_[p] = true;
       ++sched_.active_count_;
+      sched_.cvs_[p].notify_one();
     }
     arrived_ = 0;
     const double synced = max_time_;
     max_time_ = 0.0;
     ++generation_;
-    sched_.cv_.notify_all();
+    sched_.wake_min_locked();
     return synced;
   }
-  sched_.cv_.wait(lk, [&] { return generation_ != my_generation; });
+  // Parking may have made another actor the minimum.
+  sched_.wake_min_locked();
+  sched_.wait_locked(lk, actor, [&] { return generation_ != my_generation; });
   return sched_.times_[actor];
 }
 

@@ -13,16 +13,29 @@
 // exact, reproducible conservative discrete-event execution: re-running
 // with the same seeds produces byte-identical results regardless of OS
 // thread scheduling.
+//
+// Hand-off is a baton: each actor waits on its own condition variable, and
+// after every state change (admission, finish, barrier park or completion)
+// only the (time, id) minimum is notified. Only it can make progress, so
+// no other thread is woken to rescan the actors.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <mutex>
 #include <vector>
 
 namespace pdsi::sim {
+
+/// Exact wake-up counters, for tests and reports.
+struct SchedulerStats {
+  std::uint64_t admissions = 0;      ///< atomically() sections run
+  std::uint64_t wakeups = 0;         ///< returns from a blocked wait
+  std::uint64_t futile_wakeups = 0;  ///< wakeups whose wait condition still failed
+};
 
 class VirtualScheduler {
  public:
@@ -41,7 +54,8 @@ class VirtualScheduler {
   /// Blocks until `actor` is the (time, id)-minimum, then runs `fn(now)`
   /// under the scheduler lock. `fn` returns the actor's new absolute time,
   /// which must be >= now. Shared simulation state (resources, lock
-  /// tables) must only be touched inside such sections.
+  /// tables) must only be touched inside such sections. Throws
+  /// std::logic_error if the actor has finished.
   void atomically(std::size_t actor, const std::function<double(double)>& fn);
 
   /// Convenience: advance the actor's clock by dt (>= 0).
@@ -54,16 +68,25 @@ class VirtualScheduler {
   /// True once every actor has finished.
   bool all_finished() const;
 
+  SchedulerStats stats() const;
+
  private:
   friend class VirtualBarrier;
 
   bool is_min_locked(std::size_t actor) const;
+  /// Notifies the (time, id)-minimum active actor, the only one that can
+  /// proceed. Called after every change to times_ or active_.
+  void wake_min_locked();
+  /// Blocks `actor` on its own condition variable until `ready()` holds.
+  template <typename Pred>
+  void wait_locked(std::unique_lock<std::mutex>& lk, std::size_t actor, Pred ready);
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::vector<std::condition_variable> cvs_;
   std::vector<double> times_;
   std::vector<bool> active_;
   std::size_t active_count_;
+  SchedulerStats stats_;
 };
 
 /// Synchronises a fixed set of participants: every arriver blocks until
@@ -76,6 +99,7 @@ class VirtualBarrier {
   VirtualBarrier(VirtualScheduler& sched, std::vector<std::size_t> participants);
 
   /// Blocks until all participants arrive. Returns the synchronised time.
+  /// Throws std::logic_error if `actor` is not an active participant.
   double arrive(std::size_t actor);
 
  private:

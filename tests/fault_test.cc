@@ -362,6 +362,10 @@ TEST(FaultPlfs, DegradedReadReturnsPartialDataWithErrorCount) {
   ASSERT_TRUE(strict.ok());
   Bytes out2(2 * kHalf);
   EXPECT_FALSE((*strict)->read(0, out2).ok());
+  // Closing a reader issues simulated ops through the injector, so close
+  // both while the injector is alive and the actor is still active.
+  strict->reset();
+  reader->reset();
   sched.finish(0);
 }
 

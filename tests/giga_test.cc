@@ -4,6 +4,7 @@
 
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "pdsi/giga/giga.h"
@@ -85,10 +86,16 @@ TEST(Bitmap, DeepPartitionAddressing) {
   EXPECT_EQ(b.partition_for(0x2a), 0u);
 }
 
+// prefix + i, built with append: `"f" + std::to_string(i)` trips GCC 12's
+// -Wrestrict false positive.
+std::string Numbered(const char* prefix, int i) {
+  return std::string(prefix).append(std::to_string(i));
+}
+
 TEST(HashName, SpreadsShortNames) {
   std::set<std::uint64_t> low3;
   for (int i = 0; i < 64; ++i) {
-    low3.insert(HashName("f" + std::to_string(i)) & 7);
+    low3.insert(HashName(Numbered("f", i)) & 7);
   }
   EXPECT_EQ(low3.size(), 8u);  // all 8 suffixes hit
 }
@@ -105,7 +112,7 @@ TEST(GigaDirectory, SplitsAsItGrowsAndKeepsInvariant) {
   sim::VirtualScheduler sched(1);
   GigaClient client(dir, sched, 0);
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(client.create("file" + std::to_string(i)).ok());
+    ASSERT_TRUE(client.create(Numbered("file", i)).ok());
   }
   sched.finish(0);
   EXPECT_EQ(dir.total_entries(), 2000u);
@@ -129,9 +136,9 @@ TEST(GigaDirectory, LookupFindsAllAfterSplits) {
   GigaDirectory dir(SmallParams(4, 40));
   sim::VirtualScheduler sched(1);
   GigaClient client(dir, sched, 0);
-  for (int i = 0; i < 500; ++i) client.create("f" + std::to_string(i));
+  for (int i = 0; i < 500; ++i) client.create(Numbered("f", i));
   for (int i = 0; i < 500; ++i) {
-    EXPECT_TRUE(client.lookup("f" + std::to_string(i)).ok()) << i;
+    EXPECT_TRUE(client.lookup(Numbered("f", i)).ok()) << i;
   }
   auto st = client.lookup("missing");
   EXPECT_EQ(st.error(), Errc::not_found);
@@ -146,12 +153,12 @@ TEST(GigaClient, StaleClientsCorrectLazily) {
   std::uint64_t b_retries = 0;
   std::thread ta([&] {
     GigaClient a(dir, sched, 0);
-    for (int i = 0; i < 1000; ++i) a.create("a" + std::to_string(i));
+    for (int i = 0; i < 1000; ++i) a.create(Numbered("a", i));
     sched.finish(0);
   });
   std::thread tb([&] {
     GigaClient b(dir, sched, 1);
-    for (int i = 0; i < 1000; ++i) b.create("b" + std::to_string(i));
+    for (int i = 0; i < 1000; ++i) b.create(Numbered("b", i));
     b_retries = b.stale_retries();
     sched.finish(1);
   });
@@ -182,7 +189,7 @@ TEST(GigaScaling, MoreServersMoreCreateThroughput) {
       threads.emplace_back([&, c] {
         GigaClient client(dir, sched, c);
         for (int i = 0; i < kPerClient; ++i) {
-          client.create("c" + std::to_string(c) + "_" + std::to_string(i));
+          client.create(Numbered("c", c).append("_").append(std::to_string(i)));
         }
         std::lock_guard<std::mutex> lk(mu);
         finish = std::max(finish, sched.now(c));

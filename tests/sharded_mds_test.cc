@@ -160,7 +160,7 @@ TEST(ShardedMds, ReaddirMergesAcrossShards) {
   ASSERT_TRUE(smds.mkdir("/d/sub").ok());  // replicated on every shard
   std::vector<std::string> expected = {"sub"};
   for (int i = 0; i < 300; ++i) {
-    const std::string name = "f" + std::to_string(i);
+    const std::string name = std::string("f").append(std::to_string(i));
     ASSERT_TRUE(smds.create("/d/" + name, 0.0).ok());
     expected.push_back(name);
   }
@@ -337,7 +337,7 @@ TEST(ShardedClient, NamespaceLifecycleAcrossShards) {
   EXPECT_EQ(client.mkdir("/dir").error(), Errc::exists);
   std::vector<std::string> expected;
   for (int i = 0; i < 120; ++i) {
-    const std::string name = "f" + std::to_string(i);
+    const std::string name = std::string("f").append(std::to_string(i));
     ASSERT_TRUE(client.create("/dir/" + name).ok());
     expected.push_back(name);
   }

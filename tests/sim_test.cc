@@ -1,8 +1,12 @@
 // Tests for the deterministic virtual-time scheduler and the event queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <random>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "pdsi/sim/event_queue.h"
@@ -154,6 +158,173 @@ TEST(VirtualBarrier, ReusableAcrossGenerations) {
   for (auto& t : threads) t.join();
   EXPECT_DOUBLE_EQ(last[0], last[1]);
   EXPECT_DOUBLE_EQ(last[0], 20.0);  // max path is actor 1: 10 rounds x 2s
+}
+
+TEST(VirtualScheduler, FinishedActorOperationThrows) {
+  VirtualScheduler sched(2);
+  sched.finish(0);
+  EXPECT_THROW(sched.advance(0, 1.0), std::logic_error);
+  // The rejected call changed nothing: actor 1 still runs alone.
+  sched.advance(1, 1.0);
+  EXPECT_DOUBLE_EQ(sched.now(1), 1.0);
+  EXPECT_EQ(sched.stats().admissions, 1u);
+  sched.finish(1);
+}
+
+TEST(VirtualBarrier, NonParticipantArrivalThrows) {
+  VirtualScheduler sched(2);
+  VirtualBarrier barrier(sched, {0});
+  EXPECT_THROW(barrier.arrive(1), std::logic_error);
+  sched.finish(0);
+  EXPECT_THROW(barrier.arrive(0), std::logic_error);
+  sched.finish(1);
+  EXPECT_TRUE(sched.all_finished());
+}
+
+// The baton wakes only the (time, id) minimum, so a woken thread almost
+// never finds it must wait again. Waking every waiter after each admission
+// would make about N-1 of them futile per admission.
+TEST(VirtualScheduler, BatonWakesOnlyTheMinimum) {
+  constexpr std::size_t kActors = 16;
+  constexpr int kOps = 200;
+  VirtualScheduler sched(kActors);
+  std::vector<std::thread> threads;
+  for (std::size_t a = 0; a < kActors; ++a) {
+    threads.emplace_back([&sched, a] {
+      std::mt19937 rng(static_cast<unsigned>(1000 + a));
+      std::uniform_int_distribution<int> step(0, 7);
+      for (int i = 0; i < kOps; ++i) sched.advance(a, 0.25 * step(rng));
+      sched.finish(a);
+    });
+  }
+  for (auto& t : threads) t.join();
+  const SchedulerStats st = sched.stats();
+  EXPECT_EQ(st.admissions, kActors * kOps);
+  EXPECT_LT(static_cast<double>(st.futile_wakeups),
+            0.05 * static_cast<double>(st.admissions))
+      << "wakeups " << st.wakeups << ", futile " << st.futile_wakeups;
+}
+
+// Seeded differential test: 64 thread-actors run random advances, a barrier
+// over a random subset and early finishes. Their admission log must equal
+// the one a single-threaded model of the (time, id) rule computes.
+//
+// Participants keep their clocks on multiples of 0.25 and the others on
+// 0.125 + multiples of 0.25, and every participant advances before it
+// arrives. So no non-participant ever ties with a barrier's completion
+// time, where the log would depend on whether the last arrival or the
+// tied admission reached the lock first.
+struct Step {
+  enum Kind { kAdvance, kArrive } kind;
+  double dt;
+};
+using AdmissionLog = std::vector<std::pair<std::size_t, double>>;
+
+std::vector<std::vector<Step>> MakePrograms(unsigned seed, std::size_t actors,
+                                            std::vector<std::size_t>* participants) {
+  std::mt19937 rng(seed);
+  auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  std::vector<std::vector<Step>> progs(actors);
+  for (std::size_t a = 0; a < actors; ++a) {
+    auto& prog = progs[a];
+    if (pick(0, 1) == 1) {
+      participants->push_back(a);
+      prog.push_back({Step::kAdvance, 0.25 * pick(1, 4)});
+      for (int i = pick(0, 10); i > 0; --i) {
+        prog.push_back({Step::kAdvance, 0.25 * pick(0, 4)});
+      }
+      prog.push_back({Step::kArrive, 0.0});
+    } else {
+      prog.push_back({Step::kAdvance, 0.125});
+    }
+    // Zero further steps is an actor finishing early.
+    for (int i = pick(0, 20); i > 0; --i) {
+      prog.push_back({Step::kAdvance, 0.25 * pick(0, 4)});
+    }
+  }
+  if (participants->empty()) {
+    participants->push_back(0);
+    progs[0] = {{Step::kAdvance, 0.25}, {Step::kArrive, 0.0}};
+  }
+  return progs;
+}
+
+AdmissionLog ReferenceLog(const std::vector<std::vector<Step>>& progs,
+                          const std::vector<std::size_t>& participants) {
+  enum State { kReady, kParked, kDone };
+  const std::size_t n = progs.size();
+  std::vector<double> t(n, 0.0);
+  std::vector<std::size_t> pc(n, 0);
+  std::vector<State> state(n, kReady);
+  std::size_t arrived = 0;
+  double max_time = 0.0;
+  AdmissionLog log;
+  for (;;) {
+    std::size_t a = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (state[i] == kReady && (a == n || t[i] < t[a])) a = i;
+    }
+    if (a == n) break;
+    if (pc[a] == progs[a].size()) {
+      state[a] = kDone;
+      continue;
+    }
+    const Step s = progs[a][pc[a]++];
+    if (s.kind == Step::kAdvance) {
+      log.emplace_back(a, t[a]);
+      t[a] += s.dt;
+      continue;
+    }
+    state[a] = kParked;
+    max_time = std::max(max_time, t[a]);
+    if (++arrived == participants.size()) {
+      for (std::size_t p : participants) {
+        t[p] = max_time;
+        state[p] = kReady;
+      }
+    }
+  }
+  for (State s : state) EXPECT_EQ(s, kDone) << "reference model deadlocked";
+  return log;
+}
+
+AdmissionLog ThreadedLog(const std::vector<std::vector<Step>>& progs,
+                         const std::vector<std::size_t>& participants) {
+  VirtualScheduler sched(progs.size());
+  VirtualBarrier barrier(sched, participants);
+  AdmissionLog log;  // appended only inside admitted sections
+  std::vector<std::thread> threads;
+  for (std::size_t a = 0; a < progs.size(); ++a) {
+    threads.emplace_back([&, a] {
+      for (const Step& s : progs[a]) {
+        if (s.kind == Step::kArrive) {
+          barrier.arrive(a);
+          continue;
+        }
+        sched.atomically(a, [&, a](double now) {
+          log.emplace_back(a, now);
+          return now + s.dt;
+        });
+      }
+      sched.finish(a);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_TRUE(sched.all_finished());
+  EXPECT_EQ(sched.stats().admissions, log.size());
+  return log;
+}
+
+TEST(VirtualScheduler, MatchesSingleThreadedReferenceModel) {
+  for (unsigned seed : {1u, 2u, 3u}) {
+    std::vector<std::size_t> participants;
+    const auto progs = MakePrograms(seed, 64, &participants);
+    const AdmissionLog expect = ReferenceLog(progs, participants);
+    ASSERT_FALSE(expect.empty());
+    EXPECT_EQ(ThreadedLog(progs, participants), expect) << "seed " << seed;
+  }
 }
 
 TEST(EventQueue, FiresInTimeOrder) {

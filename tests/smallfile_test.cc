@@ -39,7 +39,7 @@ TEST(SmallFile, PutGetRoundTrip) {
     ASSERT_TRUE(w.ok());
     for (int i = 0; i < 100; ++i) {
       const auto data = MakePattern(0, i * 1000, 64 + i);
-      ASSERT_TRUE((*w)->put("f" + std::to_string(i), data).ok());
+      ASSERT_TRUE((*w)->put(std::string("f").append(std::to_string(i)), data).ok());
     }
     ASSERT_TRUE((*w)->close().ok());
   }
@@ -61,7 +61,9 @@ TEST(SmallFile, OnlyTwoBackendFilesPerWriter) {
   {
     auto w = SmallFileWriter::Open(*backend, "/pack", 7, clock);
     Bytes tiny(10);
-    for (int i = 0; i < 1000; ++i) (*w)->put("n" + std::to_string(i), tiny);
+    for (int i = 0; i < 1000; ++i) {
+      (*w)->put(std::string("n").append(std::to_string(i)), tiny);
+    }
     (*w)->close();
   }
   auto names = backend->readdir("/pack");
@@ -79,8 +81,10 @@ TEST(SmallFile, MultipleWritersMerge) {
       auto w = SmallFileWriter::Open(*backend, "/pack", wid, clock);
       ASSERT_TRUE(w.ok());
       for (int i = 0; i < 50; ++i) {
-        const std::string name =
-            "w" + std::to_string(wid) + "_" + std::to_string(i);
+        const std::string name = std::string("w")
+                                     .append(std::to_string(wid))
+                                     .append("_")
+                                     .append(std::to_string(i));
         (*w)->put(name, MakePattern(wid, i, 32));
       }
       (*w)->close();

@@ -182,7 +182,7 @@ TEST(ObjectStore, DeterministicTimings) {
     std::vector<double> times;
     double t = 0.0;
     for (int i = 0; i < 4; ++i) {
-      auto p = store.put("b", "o" + std::to_string(i),
+      auto p = store.put("b", std::string("o").append(std::to_string(i)),
                          MakePattern(static_cast<std::uint32_t>(i), 0,
                                      (i + 1) * 200 * KiB),
                          t);
@@ -419,7 +419,7 @@ TEST(TierEngine, DeterministicStatsAndClocks) {
     TierEngine& e = *fx.engine;
     double t = 0.0;
     for (int i = 0; i < 4; ++i) {
-      const std::string name = "o" + std::to_string(i);
+      const std::string name = std::string("o").append(std::to_string(i));
       for (std::uint64_t off = 0; off < 3 * MiB; off += MiB) {
         t = *e.write(name, off, MakePattern(static_cast<std::uint32_t>(i), off, MiB),
                      t);
@@ -428,7 +428,8 @@ TEST(TierEngine, DeterministicStatsAndClocks) {
     t = e.flush(t);
     Bytes back(3 * MiB);
     for (int i = 0; i < 4; ++i) {
-      t = std::max(t, *e.read("o" + std::to_string(i), 0, back, t + 1.0));
+      const std::string name = std::string("o").append(std::to_string(i));
+      t = std::max(t, *e.read(name, 0, back, t + 1.0));
     }
     const auto& s = e.stats();
     return std::vector<double>{
