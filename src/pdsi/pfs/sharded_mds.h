@@ -102,6 +102,11 @@ class ShardedMds {
   bool check_placement_invariant() const;
 
  private:
+  /// The error for a create, mkdir or rename whose home shard found no
+  /// parent: the parent may be a file homed on another shard, which is
+  /// not_dir (as on a lone MDS); otherwise not_found.
+  Errc parent_error(const std::string& normalized) const;
+
   /// Splits partition `part` if it filled past the threshold: state moves
   /// immediately, the timing charge is queued for settle_splits.
   void maybe_split(std::uint32_t part);
