@@ -89,14 +89,14 @@ PfsClient::OpenFile* PfsClient::get(FileHandle fh) {
 }
 
 FileHandle PfsClient::put(std::uint64_t file_id, std::string path) {
-  for (std::size_t i = 0; i < open_files_.size(); ++i) {
-    if (!open_files_[i].in_use) {
-      open_files_[i] = {true, file_id, std::move(path)};
-      return static_cast<FileHandle>(i);
-    }
+  if (free_handles_.empty()) {
+    open_files_.push_back({true, file_id, std::move(path)});
+    return static_cast<FileHandle>(open_files_.size() - 1);
   }
-  open_files_.push_back({true, file_id, std::move(path)});
-  return static_cast<FileHandle>(open_files_.size() - 1);
+  const FileHandle fh = free_handles_.top();
+  free_handles_.pop();
+  open_files_[fh] = {true, file_id, std::move(path)};
+  return fh;
 }
 
 double PfsClient::submit_mds(double t, std::size_t charges, double fraction,
@@ -874,6 +874,7 @@ Status PfsClient::close(FileHandle fh) {
     }
   }
   f->in_use = false;
+  free_handles_.push(fh);
   return st;
 }
 

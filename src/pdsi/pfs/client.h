@@ -5,6 +5,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <span>
 #include <string>
 #include <vector>
@@ -221,6 +223,10 @@ class PfsClient {
   /// failure; surfaced (then cleared) by the next fsync/close.
   bool pending_io_error_ = false;
   std::vector<OpenFile> open_files_;
+  /// Released slots of open_files_, lowest first: reuse takes the lowest
+  /// free handle, as a scan from slot 0 would.
+  std::priority_queue<FileHandle, std::vector<FileHandle>, std::greater<>>
+      free_handles_;
   obs::Counter* c_lock_conflicts_ = nullptr;
   obs::Histogram* h_lock_wait_ = nullptr;
   // consist.* instruments exist only when the run opted into a relaxed

@@ -1,6 +1,8 @@
 #include "pdsi/pfs/mds.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace pdsi::pfs {
 
@@ -38,9 +40,8 @@ Mds::Mds(const PfsConfig& cfg, obs::Context* ctx, std::uint32_t shard,
       next_file_id_(1 + shard),
       id_stride_(num_shards == 0 ? 1 : num_shards),
       ctx_(ctx) {
-  Inode root;
-  root.is_dir = true;
-  namespace_.emplace("/", root);
+  root_.inode.is_dir = true;
+  root_.children = std::make_unique<Children>();
   // Single-shard instruments keep the historical names (and so the
   // historical metric dumps); shards of a sharded namespace get
   // per-shard names and tracks.
@@ -144,113 +145,170 @@ double Mds::charge_dir(const std::string& parent, double now,
   return done;
 }
 
-Result<Inode> Mds::create(const std::string& path, double mtime) {
-  const std::string p = NormalizePath(path);
-  if (namespace_.count(p)) return Errc::exists;
-  auto parent = namespace_.find(ParentPath(p));
-  if (parent == namespace_.end()) return Errc::not_found;
-  if (!parent->second.is_dir) return Errc::not_dir;
-  Inode node;
+namespace {
+void RequireAbsolute(std::string_view path) {
+  if (path.empty() || path[0] != '/') {
+    throw std::invalid_argument("path must be absolute: " + std::string(path));
+  }
+}
+
+/// Splits an absolute path into its parent's spelling and its last
+/// non-empty component; the leaf is empty only for the root.
+std::pair<std::string_view, std::string_view> SplitLeaf(std::string_view path) {
+  RequireAbsolute(path);
+  const std::size_t end = path.find_last_not_of('/');
+  if (end == std::string_view::npos) return {path, {}};
+  const std::size_t slash = path.rfind('/', end);
+  return {path.substr(0, slash + 1), path.substr(slash + 1, end - slash)};
+}
+}  // namespace
+
+const Mds::Dentry* Mds::find(std::string_view path) const {
+  RequireAbsolute(path);
+  const Dentry* d = &root_;
+  for (std::size_t i = path.find_first_not_of('/'); i != std::string_view::npos;
+       i = path.find_first_not_of('/', i)) {
+    if (!d->children) return nullptr;
+    const std::size_t j = std::min(path.find('/', i), path.size());
+    const auto it = d->children->find(path.substr(i, j - i));
+    if (it == d->children->end()) return nullptr;
+    d = &it->second;
+    i = j;
+  }
+  return d;
+}
+
+Mds::Dentry* Mds::find(std::string_view path) {
+  return const_cast<Dentry*>(std::as_const(*this).find(path));
+}
+
+Result<Inode> Mds::make(std::string_view path, Inode node) {
+  const auto [dir, leaf] = SplitLeaf(path);
+  Dentry* parent = find(dir);
+  if (leaf.empty() || (parent && parent->children &&
+                        parent->children->contains(leaf))) {
+    return Errc::exists;
+  }
+  if (!parent) return Errc::not_found;
+  if (!parent->inode.is_dir) return Errc::not_dir;
   node.file_id = next_file_id_;
   next_file_id_ += id_stride_;
-  node.mtime = mtime;
-  namespace_.emplace(p, node);
+  Dentry& made = (*parent->children)[std::string(leaf)];
+  made.inode = node;
+  if (node.is_dir) made.children = std::make_unique<Children>();
+  ++entries_;
   return node;
 }
 
+Result<Inode> Mds::create(const std::string& path, double mtime) {
+  Inode node;
+  node.mtime = mtime;
+  return make(path, node);
+}
+
 Result<Inode> Mds::lookup(const std::string& path) const {
-  auto it = namespace_.find(NormalizePath(path));
-  if (it == namespace_.end()) return Errc::not_found;
-  return it->second;
+  const Dentry* d = find(path);
+  if (!d) return Errc::not_found;
+  return d->inode;
 }
 
 Status Mds::mkdir(const std::string& path) {
-  const std::string p = NormalizePath(path);
-  if (namespace_.count(p)) return Errc::exists;
-  auto parent = namespace_.find(ParentPath(p));
-  if (parent == namespace_.end()) return Errc::not_found;
-  if (!parent->second.is_dir) return Errc::not_dir;
   Inode node;
-  node.file_id = next_file_id_;
-  next_file_id_ += id_stride_;
   node.is_dir = true;
-  namespace_.emplace(p, node);
-  return Status::Ok();
+  return make(path, node).error();
 }
 
 bool Mds::has_children(const std::string& normalized) const {
-  // Scan from the first key sorting after "<dir>/": the immediate map
-  // successor of "/a" can be a sibling like "/a.x" ('.' < '/'), so the
-  // probe must seek past every such sibling before testing the prefix.
-  const std::string prefix =
-      normalized == "/" ? "/" : normalized + "/";
-  auto child = namespace_.lower_bound(prefix);
-  if (child != namespace_.end() && child->first == normalized) ++child;
-  return child != namespace_.end() &&
-         child->first.compare(0, prefix.size(), prefix) == 0;
+  const Dentry* d = find(normalized);
+  return d && !d->empty();
 }
 
 Status Mds::unlink(const std::string& path) {
-  const std::string p = NormalizePath(path);
-  if (p == "/") return Errc::not_supported;  // the root is not unlinkable
-  auto it = namespace_.find(p);
-  if (it == namespace_.end()) return Errc::not_found;
-  if (it->second.is_dir && has_children(p)) return Errc::not_empty;
-  namespace_.erase(it);
+  const auto [dir, leaf] = SplitLeaf(path);
+  if (leaf.empty()) return Errc::not_supported;  // the root is not unlinkable
+  Dentry* parent = find(dir);
+  if (!parent || !parent->children) return Errc::not_found;
+  const auto it = parent->children->find(leaf);
+  if (it == parent->children->end()) return Errc::not_found;
+  if (!it->second.empty()) return Errc::not_empty;
+  parent->children->erase(it);
+  --entries_;
   return Status::Ok();
 }
 
 Status Mds::rename(const std::string& from, const std::string& to,
                    double mtime) {
-  const std::string f = NormalizePath(from);
-  const std::string t = NormalizePath(to);
-  auto it = namespace_.find(f);
-  if (it == namespace_.end()) return Errc::not_found;
-  if (it->second.is_dir) return Errc::not_supported;  // file rename only
-  if (f == t) return Status::Ok();  // POSIX: same-path rename is a no-op
-  if (namespace_.count(t)) return Errc::exists;
-  auto parent = namespace_.find(ParentPath(t));
-  if (parent == namespace_.end()) return Errc::not_found;
-  if (!parent->second.is_dir) return Errc::not_dir;
-  Inode node = it->second;
-  node.mtime = mtime;
-  namespace_.erase(it);
-  namespace_.emplace(t, node);
+  const auto [from_dir, from_leaf] = SplitLeaf(from);
+  const auto [to_dir, to_leaf] = SplitLeaf(to);
+  if (from_leaf.empty()) return Errc::not_supported;  // the root directory
+  Dentry* src = find(from_dir);
+  if (!src || !src->children) return Errc::not_found;
+  const auto it = src->children->find(from_leaf);
+  if (it == src->children->end()) return Errc::not_found;
+  if (it->second.inode.is_dir) return Errc::not_supported;  // file rename only
+  Dentry* dst = find(to_dir);
+  // POSIX: same-path rename is a no-op (one parent dentry per directory).
+  if (dst == src && to_leaf == from_leaf) return Status::Ok();
+  if (to_leaf.empty() ||
+      (dst && dst->children && dst->children->contains(to_leaf))) {
+    return Errc::exists;
+  }
+  if (!dst) return Errc::not_found;
+  if (!dst->inode.is_dir) return Errc::not_dir;
+  auto node = src->children->extract(it);
+  node.key() = to_leaf;
+  node.mapped().inode.mtime = mtime;
+  dst->children->insert(std::move(node));
   return Status::Ok();
 }
 
 Result<std::vector<std::string>> Mds::readdir(const std::string& path) const {
-  const std::string p = NormalizePath(path);
-  auto it = namespace_.find(p);
-  if (it == namespace_.end()) return Errc::not_found;
-  if (!it->second.is_dir) return Errc::not_dir;
+  const Dentry* d = find(path);
+  if (!d) return Errc::not_found;
+  if (!d->inode.is_dir) return Errc::not_dir;
   std::vector<std::string> names;
-  const std::string prefix = p == "/" ? "/" : p + "/";
-  for (auto child = namespace_.upper_bound(prefix);
-       child != namespace_.end() && child->first.compare(0, prefix.size(), prefix) == 0;
-       ++child) {
-    const std::string rest = child->first.substr(prefix.size());
-    if (rest.find('/') == std::string::npos) names.push_back(rest);
-  }
+  names.reserve(d->children->size());
+  for (const auto& [name, child] : *d->children) names.push_back(name);
   return names;
 }
 
 void Mds::extend(const std::string& path, std::uint64_t new_size, double mtime) {
-  auto it = namespace_.find(NormalizePath(path));
-  if (it == namespace_.end() || it->second.is_dir) return;
-  if (new_size > it->second.size) it->second.size = new_size;
-  it->second.mtime = mtime;
+  Dentry* d = find(path);
+  if (!d || d->inode.is_dir) return;
+  if (new_size > d->inode.size) d->inode.size = new_size;
+  d->inode.mtime = mtime;
 }
 
 void Mds::install(const std::string& normalized, const Inode& inode) {
-  namespace_[normalized] = inode;
+  const auto [dir, leaf] = SplitLeaf(normalized);
+  if (leaf.empty()) {
+    root_.inode = inode;
+    return;
+  }
+  Dentry* parent = find(dir);
+  if (!parent || !parent->inode.is_dir) {
+    throw std::logic_error("install without a parent directory: " + normalized);
+  }
+  const auto [it, added] = parent->children->try_emplace(std::string(leaf));
+  it->second.inode = inode;
+  if (inode.is_dir && !it->second.children) {
+    it->second.children = std::make_unique<Children>();
+  }
+  if (added) ++entries_;
 }
 
 bool Mds::take(const std::string& normalized, Inode* out) {
-  auto it = namespace_.find(normalized);
-  if (it == namespace_.end()) return false;
-  if (out) *out = it->second;
-  namespace_.erase(it);
+  const auto [dir, leaf] = SplitLeaf(normalized);
+  Dentry* parent = leaf.empty() ? nullptr : find(dir);
+  if (!parent || !parent->children) return false;
+  const auto it = parent->children->find(leaf);
+  if (it == parent->children->end()) return false;
+  if (!it->second.empty()) {
+    throw std::logic_error("take of a non-empty directory: " + normalized);
+  }
+  if (out) *out = it->second.inode;
+  parent->children->erase(it);
+  --entries_;
   return true;
 }
 

@@ -1,15 +1,23 @@
-// Metadata server: a single ordered namespace behind one service queue.
+// Metadata server: a single namespace behind one service queue.
 //
 // Production parallel file systems of the era funnelled namespace
 // operations through one metadata server; the create-storm serialisation
 // this causes is the motivation for GIGA+ (src/pdsi/giga), which the
 // Fig. 7 bench contrasts against this MDS.
+//
+// The namespace is a dentry tree: every directory owns a map of its
+// children keyed by leaf name, so a lookup walks the path's components,
+// a listing is one directory's (already sorted) keys, and an emptiness
+// probe looks at one map.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <unordered_map>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "pdsi/common/result.h"
@@ -85,17 +93,17 @@ class Mds {
   void extend(const std::string& path, std::uint64_t new_size, double mtime);
 
   /// True when any entry lives strictly below directory `normalized`
-  /// (the unlink emptiness probe — a prefix scan, so siblings that sort
-  /// between the directory and its children, like "/a.x" between "/a"
-  /// and "/a/b", cannot fool it).
+  /// (the unlink emptiness probe).
   bool has_children(const std::string& normalized) const;
 
   // -- Sharded-namespace support (pdsi::pfs::ShardedMds) --
   /// Installs an inode verbatim (directory replication, split
-  /// migration); overwrites any existing entry, allocates no id.
+  /// migration); overwrites any existing entry's inode, allocates no id.
+  /// Throws std::logic_error unless the parent directory exists.
   void install(const std::string& normalized, const Inode& inode);
   /// Removes an entry verbatim and returns it (split migration). False
-  /// when absent.
+  /// when absent or the root. Throws std::logic_error for a directory
+  /// that still has children.
   bool take(const std::string& normalized, Inode* out);
   /// Reserves `cost` seconds of this shard's service queue for split
   /// migration work, tracing one span covering the transfer of `moved`
@@ -103,9 +111,31 @@ class Mds {
   double migrate(double now, double cost, std::uint64_t partition,
                  std::uint64_t moved, std::uint64_t req = 0);
 
-  std::size_t entry_count() const { return namespace_.size(); }
+  /// Entries in this namespace, the root included.
+  std::size_t entry_count() const { return entries_; }
 
  private:
+  struct Dentry;
+  using Children = std::map<std::string, Dentry, std::less<>>;
+  struct Dentry {
+    Inode inode;
+    /// Children by leaf name, allocated for directories only so a file's
+    /// dentry stays small; std::less<> lets a path component probe it as
+    /// a string_view.
+    std::unique_ptr<Children> children;
+
+    bool empty() const { return !children || children->empty(); }
+  };
+
+  /// The entry at absolute `path`, walking its non-empty components;
+  /// nullptr when one is missing. Throws std::invalid_argument on a
+  /// relative path.
+  const Dentry* find(std::string_view path) const;
+  Dentry* find(std::string_view path);
+  /// create/mkdir: checks existence, then the parent, and links `node`
+  /// under a fresh id.
+  Result<Inode> make(std::string_view path, Inode node);
+
   const PfsConfig& cfg_;
   sim::SimResource service_;
   std::unordered_map<std::string, sim::SimResource> dir_locks_;
@@ -113,7 +143,8 @@ class Mds {
   std::string iprefix_ = "mds.";  ///< instrument prefix ("mds.s<k>." sharded)
   std::uint64_t next_file_id_ = 1;
   std::uint64_t id_stride_ = 1;
-  std::map<std::string, Inode> namespace_;  ///< ordered for readdir scans
+  Dentry root_;
+  std::size_t entries_ = 1;
 
   obs::Context* ctx_ = nullptr;
   obs::Counter* c_ops_ = nullptr;

@@ -1,8 +1,9 @@
 // Tests for the sharded metadata service (pdsi::pfs::ShardedMds) and the
-// MDS namespace bug fixes that PR landed together: the unlink emptiness
-// prefix scan (a sibling like "/a.x" sorts between "/a" and "/a/b" and
-// must not make a populated directory deletable), the root unlink guard,
-// POSIX same-path rename, placement invariants under GIGA+ splitting,
+// MDS namespace bug fixes that landed with it: unlink emptiness (a
+// sibling like "/a.x" sorts between "/a" and "/a/b" in a path-ordered
+// map and must not make a populated directory deletable), the root
+// unlink guard, POSIX same-path rename, the dentry tree's install and
+// entry-count bookkeeping, placement invariants under GIGA+ splitting,
 // stale-bitmap client convergence, single-shard equivalence with the
 // legacy lone MDS, and cross-shard readdir. Labelled `mds` in ctest.
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,10 +35,10 @@ PfsConfig ShardedConfig(std::uint32_t shards, std::uint32_t threshold) {
 // -- Mds namespace bug regressions ------------------------------------
 
 TEST(MdsUnlink, DotSiblingCannotFakeEmptiness) {
-  // '.' (0x2E) sorts before '/' (0x2F), so in the ordered namespace the
-  // immediate successor of "/a" is "/a.x", not "/a/b". The old
+  // '.' (0x2E) sorts before '/' (0x2F), so in a path-ordered namespace
+  // the immediate successor of "/a" is "/a.x", not "/a/b". An old
   // std::next(it) probe concluded "/a" was empty and erased it,
-  // orphaning "/a/b". The prefix scan must see through the sibling.
+  // orphaning "/a/b". The emptiness probe must not see the sibling.
   PfsConfig cfg;
   Mds mds(cfg);
   ASSERT_TRUE(mds.mkdir("/a").ok());
@@ -95,6 +97,55 @@ TEST(MdsHasChildren, PrefixScanSemantics) {
   ASSERT_TRUE(mds.create("/d/f", 0.0).ok());
   EXPECT_TRUE(mds.has_children("/d"));
   EXPECT_TRUE(mds.has_children("/"));
+}
+
+// -- Dentry-tree bookkeeping ------------------------------------------
+
+TEST(MdsTree, InstallRequiresParentDirectory) {
+  PfsConfig cfg;
+  Mds mds(cfg);
+  Inode file;
+  file.file_id = 42;
+  EXPECT_THROW(mds.install("/d/f", file), std::logic_error);
+  ASSERT_TRUE(mds.create("/f", 0.0).ok());
+  EXPECT_THROW(mds.install("/f/x", file), std::logic_error);  // not a dir
+  EXPECT_EQ(mds.entry_count(), 2u);
+  ASSERT_TRUE(mds.mkdir("/d").ok());
+  mds.install("/d/f", file);
+  auto r = mds.lookup("/d/f");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->file_id, 42u);
+  EXPECT_EQ(mds.entry_count(), 4u);
+}
+
+TEST(MdsTree, EntryCountStaysExactThroughInstallTakeAndRename) {
+  PfsConfig cfg;
+  Mds mds(cfg);
+  EXPECT_EQ(mds.entry_count(), 1u);  // the root
+  ASSERT_TRUE(mds.mkdir("/d").ok());
+  ASSERT_TRUE(mds.create("/d/a", 0.0).ok());
+  EXPECT_EQ(mds.create("/d/a", 0.0).error(), Errc::exists);
+  EXPECT_EQ(mds.entry_count(), 3u);
+  Inode file;
+  file.file_id = 7;
+  mds.install("/d/b", file);
+  mds.install("/d/b", file);  // overwrites, adds nothing
+  EXPECT_EQ(mds.entry_count(), 4u);
+  ASSERT_TRUE(mds.rename("/d/a", "/c", 1.0).ok());
+  ASSERT_TRUE(mds.rename("/d/b", "//d/b/", 1.0).ok());
+  EXPECT_EQ(mds.rename("/c", "/d/b", 1.0).error(), Errc::exists);
+  EXPECT_EQ(mds.entry_count(), 4u);
+  Inode out;
+  ASSERT_TRUE(mds.take("/c", &out));
+  EXPECT_FALSE(mds.take("/c", &out));
+  EXPECT_FALSE(mds.take("/", &out));
+  EXPECT_EQ(mds.entry_count(), 3u);
+  EXPECT_THROW(mds.take("/d", &out), std::logic_error);  // still has /d/b
+  EXPECT_EQ(mds.entry_count(), 3u);
+  ASSERT_TRUE(mds.take("/d/b", &out));
+  EXPECT_EQ(out.file_id, 7u);
+  ASSERT_TRUE(mds.unlink("/d").ok());
+  EXPECT_EQ(mds.entry_count(), 1u);
 }
 
 // -- ShardedMds state semantics ---------------------------------------
