@@ -114,6 +114,10 @@ double VirtualBarrier::arrive(std::size_t actor) {
     throw std::logic_error("finished actor " + std::to_string(actor) +
                            " arrived at a barrier");
   }
+  // Arrive in (time, id) order, like any other operation: an arrival
+  // that completes the barrier resumes the participants, so it must not
+  // overtake a lower (time, id) admission that is still on its way.
+  sched_.wait_locked(lk, actor, [&] { return sched_.is_min_locked(actor); });
   // Park: remove from min-calculation so non-participants keep moving.
   sched_.active_[actor] = false;
   --sched_.active_count_;

@@ -91,9 +91,12 @@ class VirtualScheduler {
 
 /// Synchronises a fixed set of participants: every arriver blocks until
 /// all have arrived, then all resume with their clocks set to the maximum
-/// arrival time (the barrier's completion instant). Participants are
-/// removed from the scheduler's min-calculation while parked so
-/// non-participants can keep making progress.
+/// arrival time (the barrier's completion instant). An arrival is
+/// admitted in (time, id) order like any simulated operation, so a tie
+/// between the barrier's completion and another actor's op resolves the
+/// same way on every run. Participants are removed from the scheduler's
+/// min-calculation while parked so non-participants can keep making
+/// progress.
 class VirtualBarrier {
  public:
   VirtualBarrier(VirtualScheduler& sched, std::vector<std::size_t> participants);
