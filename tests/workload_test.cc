@@ -4,11 +4,21 @@
 // overhead where the baseline is already fine (N-N).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "pdsi/common/units.h"
 #include "pdsi/workload/driver.h"
 #include "pdsi/workload/patterns.h"
+
+namespace pdsi::pfs {
+
+// gtest lists a parameter without a printer as its raw bytes, which begin
+// with the name's heap address, so the listed test names would change
+// from one build to the next; a personality prints as its name.
+void PrintTo(const PfsConfig& cfg, std::ostream* os) { *os << cfg.name; }
+
+}  // namespace pdsi::pfs
 
 namespace pdsi::workload {
 namespace {
